@@ -9,20 +9,45 @@ use taamr_recsys::{
     VbprConfig, VisualRecommender,
 };
 
+/// Scores with ties, `±0.0`, `±inf` and NaN alongside continuous values.
+fn score() -> impl Strategy<Value = f32> {
+    (0u8..10, -10.0f32..10.0).prop_map(|(kind, x)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::INFINITY,
+        3 => f32::NEG_INFINITY,
+        4 => f32::NAN,
+        5 | 6 => x.round().clamp(-2.0, 2.0),
+        _ => x,
+    })
+}
+
+/// Whether item `a` ranks above item `b`: higher score first, NaN below
+/// every number, `-0.0 == +0.0`, ties to the lower index.
+fn ranks_above(scores: &[f32], a: usize, b: usize) -> bool {
+    let (x, y) = (scores[a], scores[b]);
+    match (x.is_nan(), y.is_nan()) {
+        (false, true) => true,
+        (true, false) => false,
+        (true, true) => a < b,
+        (false, false) => x > y || (x == y && a < b),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn top_n_is_sorted_and_disjoint_from_excluded(
-        scores in proptest::collection::vec(-10.0f32..10.0, 1..40),
+        scores in proptest::collection::vec(score(), 1..40),
         n in 1usize..10,
         exclude in proptest::collection::vec(0usize..40, 0..10)
     ) {
         let top = top_n_indices(&scores, n, &exclude);
         prop_assert!(top.len() <= n);
-        // Sorted best-first.
+        // Sorted best-first, ties by index.
         for w in top.windows(2) {
-            prop_assert!(scores[w[0]] >= scores[w[1]]);
+            prop_assert!(ranks_above(&scores, w[0], w[1]));
         }
         // Disjoint from excluded, no duplicates.
         for &i in &top {
@@ -37,7 +62,7 @@ proptest! {
             if top.len() == n {
                 for i in 0..scores.len() {
                     if !exclude.contains(&i) && !top.contains(&i) {
-                        prop_assert!(scores[i] <= scores[last]);
+                        prop_assert!(ranks_above(&scores, last, i));
                     }
                 }
             }
@@ -46,7 +71,7 @@ proptest! {
 
     #[test]
     fn item_rank_agrees_with_top_n(
-        scores in proptest::collection::vec(-10.0f32..10.0, 2..30),
+        scores in proptest::collection::vec(score(), 2..30),
     ) {
         // The item at rank r must appear at position r−1 of a long-enough
         // top-N (ties handled identically by construction).

@@ -98,11 +98,13 @@ cargo test -p taamr-tensor --features serial -q \
 
 # Scoring audit: the GEMM-backed ScoringEngine's bitwise contract — block
 # scores, top-N lists and item ranks must match the scalar per-(user,item)
-# path exactly for every model family — run under the `serial` feature so
-# the reference schedule is what gets checked (the threaded schedules are
-# covered by the same tests in the workspace pass above).
-echo "== scoring audit: differential engine tests (serial feature)"
-cargo test -p taamr-recsys --features serial -q --test scoring
+# path exactly for every model family — and the threshold-scan top-N
+# selection's differential against the earlier candidate-vector algorithm,
+# run under the `serial` feature so the reference schedule is what gets
+# checked (the threaded schedules are covered by the same tests in the
+# workspace pass above).
+echo "== scoring audit: differential engine + selection tests (serial feature)"
+cargo test -p taamr-recsys --features serial -q --test scoring --test selection
 
 # Attack audit: the unified Attack abstraction's contracts — every attacker
 # family (white-box pixel, black-box SPSA, embedding-space) stays inside its
