@@ -84,15 +84,19 @@ impl QuantizedPlan {
             .terms
             .iter()
             .map(|t| {
-                let rows = plan.num_items();
-                let mut codes = vec![0i8; rows * t.dim];
+                // The plan holds each term packed for the GEMM kernel;
+                // item `i`'s factor row is column `i` of the packed operand.
+                let (rows, dim) = (plan.num_items(), t.k());
+                let mut codes = vec![0i8; rows * dim];
                 let mut scales = vec![0.0f32; rows];
-                let data = t.items.as_slice();
+                let mut row = vec![0.0f32; dim];
                 for i in 0..rows {
-                    scales[i] =
-                        quantize_row(&data[i * t.dim..(i + 1) * t.dim], &mut codes[i * t.dim..(i + 1) * t.dim]);
+                    for (p, v) in row.iter_mut().enumerate() {
+                        *v = t.at(p, i);
+                    }
+                    scales[i] = quantize_row(&row, &mut codes[i * dim..(i + 1) * dim]);
                 }
-                QuantTerm { dim: t.dim, codes, scales }
+                QuantTerm { dim, codes, scales }
             })
             .collect();
         Some(QuantizedPlan {
@@ -172,11 +176,8 @@ impl QuantizedPlan {
         let b = users.len();
         let ni = self.num_items;
         out.users = users.clone();
-        out.scores.reset_to_zeros(&[b, ni]);
+        out.scores.reset_to_rows(&[b, ni], &self.static_term);
         let rows = out.scores.as_mut_slice();
-        for r in 0..b {
-            rows[r * ni..(r + 1) * ni].copy_from_slice(&self.static_term);
-        }
         for (t, term) in self.terms.iter().enumerate() {
             let user_rows = model.user_term_rows(t, users.clone());
             assert_eq!(

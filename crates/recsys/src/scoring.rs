@@ -10,8 +10,10 @@
 //! * [`CatalogPlan`] — the per-model item-side cache: the combined static
 //!   term per item (for VBPR: `b_i + βᵀ f_i` with `b_vis = F·β` built by one
 //!   GEMM) plus one factor term per bilinear pathway (for VBPR: `Q` and the
-//!   visual embedding matrix `V = F·E`, also GEMM-built). Models describe
-//!   themselves via [`Recommender::catalog_plan`](crate::Recommender::catalog_plan).
+//!   visual embedding matrix `V = F·E`, also GEMM-built), each held packed
+//!   in the GEMM kernel's panel layout ([`PackedB`]) so scoring packs only
+//!   the user side. Models describe themselves via
+//!   [`Recommender::catalog_plan`](crate::Recommender::catalog_plan).
 //! * [`ScoringEngine`] — owns the cached plan keyed by the model's monotone
 //!   [`scoring_version`](crate::Recommender::scoring_version); `ensure`
 //!   rebuilds precisely when the version moved (a training step or
@@ -40,7 +42,7 @@ use std::ops::Range;
 
 use rayon::prelude::*;
 use taamr_tensor::{
-    gemm_blocked, GemmScratch, Tensor, Transpose, GEMM_BLOCKING,
+    gemm_blocked, gemm_packed, GemmScratch, PackedB, Tensor, Transpose, GEMM_BLOCKING,
 };
 
 use crate::recommend::{item_rank_with, top_n_with, SelectionScratch};
@@ -77,16 +79,13 @@ pub(crate) fn scoring_gemm(
     }
 }
 
-/// One bilinear pathway of a [`CatalogPlan`]: per-user factors (supplied by
-/// the model at score time via
-/// [`Recommender::user_term_rows`](crate::Recommender::user_term_rows))
-/// against a cached `num_items × dim` item-side matrix.
-#[derive(Debug, Clone)]
-pub(crate) struct PlanTerm {
-    /// Latent dimension of this pathway.
-    pub(crate) dim: usize,
-    /// Item-side factors, row-major `num_items × dim`.
-    pub(crate) items: Tensor,
+/// One factor-term GEMM of a score block: `scores += users · itemsᵀ`
+/// against a term's pre-packed item matrix, counted like [`scoring_gemm`].
+fn term_gemm(users: &Tensor, items: &PackedB, scores: &mut Tensor, scratch: &mut GemmScratch) {
+    taamr_obs::incr(taamr_obs::Counter::ScoringGemmCalls);
+    if let Err(e) = gemm_packed(1.0, users, Transpose::No, items, 1.0, scores, scratch) {
+        panic!("scoring engine gemm failed: {e}");
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,17 +100,23 @@ pub(crate) enum PlanKind {
 /// The item-side scoring cache one model instance describes itself with.
 ///
 /// GEMM-backed plans hold everything user-independent: the per-item static
-/// term and the item matrices of each factor term. User-side factors are
-/// *not* copied — the engine reads them from the live model per block, so
-/// the cache stays valid across pure user-factor reads and its memory cost
-/// is `O(num_items · Σ dim)`.
+/// term and the item matrices of each factor term, the latter already packed
+/// into the GEMM kernel's panel layout ([`PackedB`]) so a score block packs
+/// only its user rows. User-side factors are *not* copied — the engine reads
+/// them from the live model per block, so the cache stays valid across pure
+/// user-factor reads and its memory cost is `O(num_items · Σ dim)`.
 #[derive(Debug, Clone)]
 pub struct CatalogPlan {
     num_users: usize,
     num_items: usize,
     /// Per-item user-independent score term (biases + cached visual bias).
     pub(crate) static_term: Vec<f32>,
-    pub(crate) terms: Vec<PlanTerm>,
+    /// One bilinear pathway per entry: per-user factors (supplied by the
+    /// model at score time via
+    /// [`Recommender::user_term_rows`](crate::Recommender::user_term_rows))
+    /// against the packed `dim × num_items` transpose of the term's
+    /// row-major `num_items × dim` item factors.
+    pub(crate) terms: Vec<PackedB>,
     pub(crate) kind: PlanKind,
 }
 
@@ -139,20 +144,21 @@ impl CatalogPlan {
         CatalogPlan { num_users, num_items, static_term, terms: Vec::new(), kind: PlanKind::Gemm }
     }
 
-    /// Adds one bilinear factor term with the given `num_items × dim`
-    /// item-side matrix. Terms are applied in insertion order — the order
-    /// must match the model's scalar summation sequence for bitwise
-    /// equality.
+    /// Adds one bilinear factor term whose item side is the row-major
+    /// `num_items × dim` matrix `items`, packed straight from the borrowed
+    /// rows. Terms are applied in insertion order — the order must match the
+    /// model's scalar summation sequence for bitwise equality.
     ///
     /// # Panics
     ///
-    /// Panics if `items` is not rank-2 with `num_items` rows.
+    /// Panics if `items.len() != num_items * dim`.
     #[must_use]
-    pub fn with_term(mut self, items: Tensor) -> Self {
+    pub fn with_term(mut self, items: &[f32], dim: usize) -> Self {
         assert_eq!(self.kind, PlanKind::Gemm, "factor terms require a gemm plan");
-        assert_eq!(items.rank(), 2, "item factors must be a matrix");
-        assert_eq!(items.dims()[0], self.num_items, "item factors must cover every item");
-        self.terms.push(PlanTerm { dim: items.dims()[1], items });
+        match PackedB::new(items, [self.num_items, dim], Transpose::Yes, GEMM_BLOCKING) {
+            Ok(packed) => self.terms.push(packed),
+            Err(e) => panic!("item factors must cover every item: {e}"),
+        }
         self
     }
 
@@ -410,28 +416,25 @@ impl ScoringEngine {
         let ni = plan.num_items;
         let ScoreBlock { users: out_users, scores, staging, scratch, .. } = out;
         *out_users = users.clone();
-        scores.reset_to_zeros(&[b, ni]);
         match plan.kind {
             PlanKind::Scalar => {
+                scores.reset_to_zeros(&[b, ni]);
                 let rows = scores.as_mut_slice();
                 for (r, u) in users.enumerate() {
                     model.score_into(u, &mut rows[r * ni..(r + 1) * ni]);
                 }
             }
             PlanKind::Gemm => {
-                let rows = scores.as_mut_slice();
-                for r in 0..b {
-                    rows[r * ni..(r + 1) * ni].copy_from_slice(&plan.static_term);
-                }
+                scores.reset_to_rows(&[b, ni], &plan.static_term);
                 for (t, term) in plan.terms.iter().enumerate() {
                     let user_rows = model.user_term_rows(t, users.clone());
                     assert_eq!(
                         user_rows.len(),
-                        b * term.dim,
+                        b * term.k(),
                         "model returned a mis-sized user factor block for term {t}"
                     );
-                    staging.reset_to_copy(&[b, term.dim], user_rows);
-                    scoring_gemm(staging, &term.items, Transpose::Yes, 1.0, scores, scratch);
+                    staging.reset_to_copy(&[b, term.k()], user_rows);
+                    term_gemm(staging, term, scores, scratch);
                 }
             }
         }
@@ -481,36 +484,34 @@ impl ScoringEngine {
         let ni = plan.num_items;
         let ScoreBlock { users: out_users, scores, staging, scratch, .. } = out;
         *out_users = 0..b;
-        scores.reset_to_zeros(&[b, ni]);
         match plan.kind {
             PlanKind::Scalar => {
+                scores.reset_to_zeros(&[b, ni]);
                 let rows = scores.as_mut_slice();
                 for (r, &u) in users.iter().enumerate() {
                     model.score_into(u, &mut rows[r * ni..(r + 1) * ni]);
                 }
             }
             PlanKind::Gemm => {
-                let rows = scores.as_mut_slice();
-                for r in 0..b {
-                    rows[r * ni..(r + 1) * ni].copy_from_slice(&plan.static_term);
-                }
+                scores.reset_to_rows(&[b, ni], &plan.static_term);
                 for (t, term) in plan.terms.iter().enumerate() {
                     // Gather the batch's user factors row by row: the trait
                     // only promises borrowed slices for *contiguous* user
                     // ranges, so each gathered user contributes its own
                     // single-row range.
-                    staging.reset_to_zeros(&[b, term.dim]);
+                    let dim = term.k();
+                    staging.reset_to_zeros(&[b, dim]);
                     let stage_rows = staging.as_mut_slice();
                     for (r, &u) in users.iter().enumerate() {
                         let row = model.user_term_rows(t, u..u + 1);
                         assert_eq!(
                             row.len(),
-                            term.dim,
+                            dim,
                             "model returned a mis-sized user factor row for term {t}"
                         );
-                        stage_rows[r * term.dim..(r + 1) * term.dim].copy_from_slice(row);
+                        stage_rows[r * dim..(r + 1) * dim].copy_from_slice(row);
                     }
-                    scoring_gemm(staging, &term.items, Transpose::Yes, 1.0, scores, scratch);
+                    term_gemm(staging, term, scores, scratch);
                 }
             }
         }

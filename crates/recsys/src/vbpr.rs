@@ -371,8 +371,8 @@ impl Recommender for Vbpr {
         // Term order must match `score`: collaborative p·q first, then the
         // visual α·(E f) pathway.
         CatalogPlan::gemm(self.num_users, ni, static_term)
-            .with_term(tensor_2d(self.item_factors.clone(), ni, k))
-            .with_term(visual_items)
+            .with_term(&self.item_factors, k)
+            .with_term(visual_items.as_slice(), a)
     }
 
     fn user_term_rows(&self, term: usize, users: std::ops::Range<usize>) -> &[f32] {

@@ -10,8 +10,10 @@ use std::time::Duration;
 use taamr_fault::{with_shared_plan, FaultPlan, FaultSite};
 use taamr_serve::{ServeError, Supervisor, SupervisorConfig};
 
-/// Shared fault plans are process-global; tests in this binary that
-/// install one serialise on this gate.
+/// Shared fault plans are process-global and match on per-actor request
+/// ordinals, so a planted `ServeActorPanic@0` can fire in *any* actor's
+/// first request. Every test in this binary that sends requests serialises
+/// on this gate, whether or not it installs a plan itself.
 static SHARED_GATE: Mutex<()> = Mutex::new(());
 
 const DEADLINE: Duration = Duration::from_secs(5);
@@ -91,6 +93,7 @@ fn exhausted_retry_budget_is_a_typed_503() {
 
 #[test]
 fn chaos_kill_between_requests_recovers_transparently() {
+    let _gate = SHARED_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = common::fresh_dir("supervision-kill");
     let sup = supervisor(&dir, 2);
     sup.add_slot("bpr", common::model(1), common::seen_lists()).unwrap();
@@ -114,6 +117,7 @@ fn chaos_kill_between_requests_recovers_transparently() {
 
 #[test]
 fn unknown_slot_and_bad_requests_are_typed() {
+    let _gate = SHARED_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = common::fresh_dir("supervision-typed");
     let sup = supervisor(&dir, 2);
     sup.add_slot("bpr", common::model(1), common::seen_lists()).unwrap();

@@ -33,6 +33,17 @@
 //! Scratch for the packed panels comes from a caller-supplied
 //! [`GemmScratch`] (or the calling thread's, via [`gemm`]), so steady-state
 //! workloads never allocate here.
+//!
+//! # Pre-packed `op(B)`
+//!
+//! A right operand reused across many products (a catalog's item factors,
+//! scored against one user batch after another) can be packed once into a
+//! [`PackedB`]; [`gemm_packed`] then packs only `op(A)` per call. The
+//! [`GemmSchedule::SharedPack`] schedule packs `op(B)` into the same tight
+//! layout per call and runs the same driver, so there is one code path that
+//! consumes a fully packed `op(B)`.
+
+use std::ops::Range;
 
 use rayon::prelude::*;
 
@@ -103,6 +114,10 @@ impl BlockSizes {
     /// Scratch floats one task needs for its packing buffers.
     fn pack_len(&self) -> usize {
         self.b_pack_len() + self.a_pack_len()
+    }
+
+    fn assert_positive(&self) {
+        assert!(self.mc > 0 && self.nc > 0 && self.kc > 0, "gemm block sizes must be positive");
     }
 }
 
@@ -183,6 +198,10 @@ struct MatRef<'a> {
 }
 
 impl MatRef<'_> {
+    fn of(t: &Tensor, trans: Transpose) -> MatRef<'_> {
+        MatRef { data: t.as_slice(), ld: t.dims()[1], trans: trans.is_yes() }
+    }
+
     #[inline(always)]
     fn at(&self, i: usize, j: usize) -> f32 {
         if self.trans {
@@ -336,93 +355,312 @@ fn region_per_task_impl(
     }
 }
 
-/// Driver over one rectangular region of `C` that consumes pre-packed
-/// `op(B)` slivers from a shared arena and packs only its own `op(A)` rows
-/// (`a_pack` must hold `bs.a_pack_len()` floats).
+/// The tight packed layout of a whole `k × n` `op(B)`: one sliver per
+/// (`NC` column block, `KC` block) pair, each `kcb × ceil(ncb/NR)·NR` floats
+/// in [`pack_b`]'s `NR`-panel order, column blocks outermost. No sliver is
+/// padded up to `KC`, and with `NC` a multiple of `NR` (as in
+/// [`GEMM_BLOCKING`]) only the last column block carries panel padding, so
+/// the layout holds `k · n` floats plus at most `k · (NR − 1)`.
+#[derive(Debug, Clone, Copy)]
+struct PackLayout {
+    k: usize,
+    n: usize,
+    kc: usize,
+    nc: usize,
+}
+
+/// `cols` rounded up to whole `NR` panels.
+fn panel_cols(cols: usize) -> usize {
+    cols.div_ceil(NR) * NR
+}
+
+impl PackLayout {
+    /// Floats of one full column block (every `KC` block of `NC` columns);
+    /// also the offset stride between column blocks.
+    fn stripe_len(&self) -> usize {
+        self.k * panel_cols(self.nc.min(self.n))
+    }
+
+    /// Total floats of the packed operand.
+    fn len(&self) -> usize {
+        self.k * ((self.n / self.nc) * panel_cols(self.nc) + panel_cols(self.n % self.nc))
+    }
+
+    /// Number of `KC × NC` slivers.
+    fn slivers(&self) -> usize {
+        self.n.div_ceil(self.nc) * self.k.div_ceil(self.kc)
+    }
+
+    /// The float range of the sliver at column block `jc` and `K` block
+    /// `pc` (both multiples of their block size). Every earlier column block
+    /// is full width and every earlier `K` block full depth, which is what
+    /// makes the offset closed-form.
+    fn sliver(&self, jc: usize, pc: usize) -> Range<usize> {
+        let width = panel_cols(self.nc.min(self.n - jc));
+        let start = (jc / self.nc) * self.k * panel_cols(self.nc) + pc * width;
+        start..start + self.kc.min(self.k - pc) * width
+    }
+}
+
+/// Packs all of `op(B)` into `dst` (exactly `layout.len()` floats) in the
+/// [`PackLayout`] order. Column blocks are disjoint chunks of `dst`, so they
+/// pack in parallel; packing is a pure copy either way.
+fn pack_b_all(dst: &mut [f32], b: MatRef<'_>, layout: PackLayout) {
+    if dst.is_empty() {
+        return;
+    }
+    dst.par_chunks_mut(layout.stripe_len()).enumerate().for_each(|(s, stripe)| {
+        let jc = s * layout.nc;
+        let ncb = layout.nc.min(layout.n - jc);
+        for pc in (0..layout.k).step_by(layout.kc) {
+            let kcb = layout.kc.min(layout.k - pc);
+            let at = pc * panel_cols(ncb);
+            pack_b(&mut stripe[at..at + kcb * panel_cols(ncb)], b, pc, kcb, jc, ncb);
+        }
+    });
+}
+
+/// A borrowed fully packed `op(B)`: a [`PackedB`]'s storage or the shared
+/// arena the [`GemmSchedule::SharedPack`] schedule builds per call.
+#[derive(Clone, Copy)]
+struct PackedRef<'a> {
+    data: &'a [f32],
+    layout: PackLayout,
+}
+
+/// `op(B)` packed once, for reuse across many products with different
+/// left operands.
 ///
-/// `col0` must be a multiple of `bs.nc` (the grid partition guarantees it),
-/// so every column block maps onto exactly one shared sliver; `slivers` is
-/// laid out `[jc_index * kc_blocks + pc_index] × bs.b_pack_len()` over the
-/// *global* column/K space. The loop nest here differs from
-/// [`region_per_task_impl`] (`pc` outermost so each packed `op(A)` sliver is
-/// reused across every column block), which is invisible to results: each
-/// output element still accumulates its `KC` blocks in ascending order.
+/// Holds the whole `k × n` operand in the kernel's `NR`-panel layout,
+/// `KC × NC` sliver by sliver, each sliver exactly `kcb · ceil(ncb/NR)·NR`
+/// floats (no padding up to `KC`). [`gemm_packed`] then packs only `op(A)`
+/// per call. Packing is a pure copy and [`gemm_packed`] walks the same
+/// ascending `KC` blocks, so its results are bitwise identical to
+/// [`gemm_blocked`] with the same blocking.
+///
+/// # Example
+///
+/// ```
+/// use taamr_tensor::{gemm, gemm_packed, GemmScratch, PackedB, Tensor, Transpose, GEMM_BLOCKING};
+///
+/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
+/// let items = Tensor::from_vec((0..12).map(|v| v as f32).collect(), &[4, 3])?;
+/// // Score both rows of `a` against the four rows of `items`: a · itemsᵀ.
+/// let packed = PackedB::new(items.as_slice(), [4, 3], Transpose::Yes, GEMM_BLOCKING)?;
+/// let mut c = Tensor::zeros(&[2, 4]);
+/// gemm_packed(1.0, &a, Transpose::No, &packed, 0.0, &mut c, &mut GemmScratch::new())?;
+/// let mut want = Tensor::zeros(&[2, 4]);
+/// gemm(1.0, &a, Transpose::No, &items, Transpose::Yes, 0.0, &mut want)?;
+/// assert_eq!(c, want);
+/// # Ok::<(), taamr_tensor::TensorError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct PackedB {
+    layout: PackLayout,
+    /// Row-block length of the `op(A)` slivers [`gemm_packed`] packs.
+    mc: usize,
+    data: Vec<f32>,
+}
+
+impl PackedB {
+    /// Packs `op(B)`, where `b` is a row-major `dims[0] × dims[1]` matrix
+    /// and `op` is given by `tb`, for products on `blocking`. The
+    /// `gemm_panel_packs` telemetry counts its slivers here, once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] if `b.len() != dims[0] *
+    /// dims[1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any field of `blocking` is zero.
+    pub fn new(
+        b: &[f32],
+        dims: [usize; 2],
+        tb: Transpose,
+        blocking: BlockSizes,
+    ) -> Result<Self, TensorError> {
+        blocking.assert_positive();
+        if b.len() != dims[0] * dims[1] {
+            return Err(TensorError::LengthMismatch { expected: dims[0] * dims[1], actual: b.len() });
+        }
+        let (k, n) = if tb.is_yes() { (dims[1], dims[0]) } else { (dims[0], dims[1]) };
+        let layout = PackLayout { k, n, kc: blocking.kc, nc: blocking.nc };
+        let mut data = vec![0.0; layout.len()];
+        pack_b_all(&mut data, MatRef { data: b, ld: dims[1], trans: tb.is_yes() }, layout);
+        taamr_obs::add(taamr_obs::Counter::GemmPanelPacks, layout.slivers() as u64);
+        Ok(PackedB { layout, mc: blocking.mc, data })
+    }
+
+    /// Rows of `op(B)`: the shared dimension of the products.
+    pub fn k(&self) -> usize {
+        self.layout.k
+    }
+
+    /// Columns of `op(B)`: the output columns of the products.
+    pub fn n(&self) -> usize {
+        self.layout.n
+    }
+
+    /// The blocking the operand was packed for.
+    fn blocking(&self) -> BlockSizes {
+        BlockSizes { mc: self.mc, nc: self.layout.nc, kc: self.layout.kc }
+    }
+
+    /// Packed length in floats: `Σ kcb · ceil(ncb/NR)·NR` over the slivers.
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether `op(B)` has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// `op(B)[p, j]`, read back out of the packed layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p >= k` or `j >= n`.
+    pub fn at(&self, p: usize, j: usize) -> f32 {
+        let l = self.layout;
+        assert!(p < l.k && j < l.n, "({p}, {j}) out of range for a {} × {} operand", l.k, l.n);
+        let (jc, pc) = (j - j % l.nc, p - p % l.kc);
+        let kcb = l.kc.min(l.k - pc);
+        let (jj, pp) = (j - jc, p - pc);
+        self.data[l.sliver(jc, pc).start + (jj / NR) * kcb * NR + pp * NR + jj % NR]
+    }
+
+    fn view(&self) -> PackedRef<'_> {
+        PackedRef { data: &self.data, layout: self.layout }
+    }
+}
+
+/// Driver over one rectangular region of `C` that reads every `op(B)`
+/// sliver from a fully packed operand and packs only its own `op(A)` rows
+/// (`a_pack` must hold [`a_sliver_len`] floats for the product).
+///
+/// Writes the update for global rows `[row0, row0 + m)` and columns
+/// `[col0, col0 + n)` through `c` (see [`COut`] for the aliasing contract).
+/// `col0` must be a multiple of `NC` (the grid partition guarantees it), so
+/// every column block maps onto exactly one packed sliver. `pc` is
+/// outermost so each packed `op(A)` sliver is reused across every column
+/// block; that differs from [`region_per_task_impl`]'s nest but not in
+/// results, since each output element still accumulates its `KC` blocks in
+/// ascending order.
+///
+/// The blocking arrives as runtime values (`b.layout`, `mc`), as it does in
+/// [`region_per_task`]. With `GEMM_BLOCKING` hardcoded in this driver
+/// instead, LLVM emitted scalar `vmulss` for the AVX2 clone's micro-kernel
+/// and the single-user catalog product ran 1.5× slower than packing `op(B)`
+/// per call; check the clone for `vmulps` with `objdump -d` after touching
+/// this nest. The AVX2 dispatch is bitwise invisible, as for
+/// [`region_per_task`].
 #[allow(clippy::too_many_arguments)]
-fn region_shared_b(
+fn region_packed_b(
     c: COut,
     row0: usize,
     m: usize,
     col0: usize,
     n: usize,
-    k: usize,
     alpha: f32,
     a: MatRef<'_>,
-    bs: BlockSizes,
-    slivers: &[f32],
+    b: PackedRef<'_>,
+    mc: usize,
     a_pack: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: as for `region_per_task_avx2`.
-        unsafe { region_shared_b_avx2(c, row0, m, col0, n, k, alpha, a, bs, slivers, a_pack) };
+        unsafe { region_packed_b_avx2(c, row0, m, col0, n, alpha, a, b, mc, a_pack) };
         return;
     }
-    region_shared_b_impl(c, row0, m, col0, n, k, alpha, a, bs, slivers, a_pack);
+    region_packed_b_impl(c, row0, m, col0, n, alpha, a, b, mc, a_pack);
 }
 
-/// AVX2-compiled clone of [`region_shared_b_impl`]; see
+/// AVX2-compiled clone of [`region_packed_b_impl`]; see
 /// [`region_per_task_avx2`] for why the dispatch is bitwise invisible.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-fn region_shared_b_avx2(
+fn region_packed_b_avx2(
     c: COut,
     row0: usize,
     m: usize,
     col0: usize,
     n: usize,
-    k: usize,
     alpha: f32,
     a: MatRef<'_>,
-    bs: BlockSizes,
-    slivers: &[f32],
+    b: PackedRef<'_>,
+    mc: usize,
     a_pack: &mut [f32],
 ) {
-    region_shared_b_impl(c, row0, m, col0, n, k, alpha, a, bs, slivers, a_pack);
+    region_packed_b_impl(c, row0, m, col0, n, alpha, a, b, mc, a_pack);
 }
 
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn region_shared_b_impl(
+fn region_packed_b_impl(
     c: COut,
     row0: usize,
     m: usize,
     col0: usize,
     n: usize,
-    k: usize,
     alpha: f32,
     a: MatRef<'_>,
-    bs: BlockSizes,
-    slivers: &[f32],
+    b: PackedRef<'_>,
+    mc: usize,
     a_pack: &mut [f32],
 ) {
-    debug_assert_eq!(col0 % bs.nc, 0, "column stripes must start on an NC boundary");
-    let kc_blocks = k.div_ceil(bs.kc);
-    let sliver_len = bs.b_pack_len();
+    let PackLayout { k, kc, nc, .. } = b.layout;
+    debug_assert_eq!(col0 % nc, 0, "column stripes must start on an NC boundary");
     // Absolute, ascending K blocks outermost: the summation-order anchor.
-    for (pc_i, pc) in (0..k).step_by(bs.kc).enumerate() {
-        let kcb = bs.kc.min(k - pc);
-        for ic in (0..m).step_by(bs.mc) {
-            let mcb = bs.mc.min(m - ic);
+    for pc in (0..k).step_by(kc) {
+        let kcb = kc.min(k - pc);
+        for ic in (0..m).step_by(mc) {
+            let mcb = mc.min(m - ic);
             pack_a(a_pack, a, row0 + ic, mcb, pc, kcb, alpha);
-            for jc in (0..n).step_by(bs.nc) {
-                let ncb = bs.nc.min(n - jc);
-                let s = ((col0 + jc) / bs.nc) * kc_blocks + pc_i;
-                let sliver = &slivers[s * sliver_len..(s + 1) * sliver_len];
+            for jc in (0..n).step_by(nc) {
+                let ncb = nc.min(n - jc);
+                let sliver = &b.data[b.layout.sliver(col0 + jc, pc)];
                 micro_sweep(c, row0 + ic, mcb, col0 + jc, ncb, kcb, a_pack, sliver);
             }
         }
     }
+}
+
+/// Floats one task needs to pack its `op(A)` slivers in
+/// [`region_packed_b`]: one `mc × kc` sliver, trimmed to the product's own
+/// `m` and `k`.
+fn a_sliver_len(m: usize, k: usize, bs: BlockSizes) -> usize {
+    bs.kc.min(k) * bs.mc.min(m).div_ceil(MR) * MR
+}
+
+/// Runs [`region_packed_b`] over `tasks` (one region covering all of `C`
+/// when there is at most one task), each with its own `a_len`-float chunk
+/// of `a_buf`. The one driver behind [`gemm_packed`] and the
+/// [`GemmSchedule::SharedPack`] schedule.
+#[allow(clippy::too_many_arguments)]
+fn drive_packed_b(
+    c: COut,
+    m: usize,
+    alpha: f32,
+    a: MatRef<'_>,
+    b: PackedRef<'_>,
+    mc: usize,
+    tasks: Vec<GridTask>,
+    a_buf: &mut [f32],
+    a_len: usize,
+) {
+    if tasks.len() <= 1 {
+        region_packed_b(c, 0, m, 0, b.layout.n, alpha, a, b, mc, &mut a_buf[..a_len]);
+        return;
+    }
+    let work: Vec<(GridTask, &mut [f32])> = tasks.into_iter().zip(a_buf.chunks_mut(a_len)).collect();
+    work.into_par_iter().for_each(|(t, a_pack)| {
+        region_packed_b(c, t.rows.start, t.rows.len(), t.cols.start, t.cols.len(), alpha, a, b, mc, a_pack);
+    });
 }
 
 /// Sweeps the micro-kernel over one packed `mcb × ncb` block pair and
@@ -601,52 +839,17 @@ pub fn gemm_blocked_scheduled(
     scratch: &mut GemmScratch,
     schedule: GemmSchedule,
 ) -> Result<(), TensorError> {
-    assert!(
-        blocking.mc > 0 && blocking.nc > 0 && blocking.kc > 0,
-        "gemm block sizes must be positive"
-    );
+    blocking.assert_positive();
     taamr_obs::incr(taamr_obs::Counter::GemmCalls);
-    for t in [a, b, &*c] {
+    for t in [a, b] {
         if t.rank() != 2 {
             return Err(TensorError::RankMismatch { op: "gemm", expected: 2, actual: t.rank() });
         }
     }
-    let (m, ka) = if ta.is_yes() {
-        (a.dims()[1], a.dims()[0])
-    } else {
-        (a.dims()[0], a.dims()[1])
-    };
-    let (kb, n) = if tb.is_yes() {
-        (b.dims()[1], b.dims()[0])
-    } else {
-        (b.dims()[0], b.dims()[1])
-    };
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "gemm",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    if c.dims() != [m, n] {
-        return Err(TensorError::ShapeMismatch {
-            op: "gemm",
-            lhs: vec![m, n],
-            rhs: c.dims().to_vec(),
-        });
-    }
-    let k = ka;
-
-    if beta != 1.0 {
-        if beta == 0.0 {
-            c.fill_zero();
-        } else {
-            c.scale(beta);
-        }
-    }
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
+    let (kb, n) = op_dims(b, tb);
+    let Some((m, k)) = begin(alpha, a, ta, (kb, n), b.dims(), beta, c)? else {
         return Ok(());
-    }
+    };
 
     // Canonical pack count (the serial schedule's): counted here, at the
     // semantic entry point, so the telemetry value is invariant under thread
@@ -655,69 +858,35 @@ pub fn gemm_blocked_scheduled(
         (n.div_ceil(blocking.nc) as u64, k.div_ceil(blocking.kc) as u64, m.div_ceil(blocking.mc) as u64);
     taamr_obs::add(taamr_obs::Counter::GemmPanelPacks, jcs * kbs * (1 + ics));
 
-    let a_ref = MatRef { data: a.as_slice(), ld: a.dims()[1], trans: ta.is_yes() };
-    let b_ref = MatRef { data: b.as_slice(), ld: b.dims()[1], trans: tb.is_yes() };
-    let c_data = c.as_mut_slice();
-    let c_out = COut { ptr: c_data.as_mut_ptr(), ldc: n };
+    let (a_ref, b_ref) = (MatRef::of(a, ta), MatRef::of(b, tb));
+    let c_out = COut { ptr: c.as_mut_slice().as_mut_ptr(), ldc: n };
     let per_task = blocking.pack_len();
 
-    let threads = rayon::current_num_threads();
-    let tasks = if threads > 1 && m * n * k >= PAR_MIN_WORK {
-        // Work-stealing-friendly grid: NC-aligned column stripes ×
-        // MR-aligned row blocks, oversubscribed so early finishers steal the
-        // tail. The partition depends only on shape and thread policy and is
-        // invisible to the summation order — every output element is owned
-        // by exactly one task walking the absolute K blocks ascending.
-        block_grid(m, n, MR, blocking.nc, threads * rayon::CHUNKS_PER_WORKER)
-    } else {
-        Vec::new()
-    };
+    let tasks = task_grid(m, n, k, blocking);
     if tasks.len() <= 1 {
         let buf = scratch.ensure(per_task);
         region_per_task(c_out, 0, m, 0, n, k, alpha, a_ref, b_ref, blocking, buf);
         return Ok(());
     }
 
-    let kc_blocks = k.div_ceil(blocking.kc);
-    let sliver_len = blocking.b_pack_len();
-    let shared_len = n.div_ceil(blocking.nc) * kc_blocks * sliver_len;
+    let layout = PackLayout { k, n, kc: blocking.kc, nc: blocking.nc };
     let use_shared = match schedule {
-        GemmSchedule::Auto => shared_len <= SHARED_PACK_CAP,
+        GemmSchedule::Auto => layout.len() <= SHARED_PACK_CAP,
         GemmSchedule::SharedPack => true,
         GemmSchedule::PerTaskPack => false,
     };
     if use_shared {
-        // Cooperative schedule: every KC × NC sliver of op(B) is packed
-        // exactly once (in parallel — slivers are disjoint and packing is a
-        // pure copy), then all tasks read the shared arena while packing
-        // only their own op(A) rows. Total packing work thus matches the
-        // serial schedule instead of scaling with the task count.
-        let a_len = blocking.a_pack_len();
-        let buf = scratch.ensure(shared_len + tasks.len() * a_len);
-        let (b_buf, a_buf) = buf.split_at_mut(shared_len);
-        b_buf.par_chunks_mut(sliver_len).enumerate().for_each(|(s, dst)| {
-            let jc = (s / kc_blocks) * blocking.nc;
-            let pc = (s % kc_blocks) * blocking.kc;
-            pack_b(dst, b_ref, pc, blocking.kc.min(k - pc), jc, blocking.nc.min(n - jc));
-        });
-        let slivers: &[f32] = b_buf;
-        let work: Vec<(GridTask, &mut [f32])> =
-            tasks.into_iter().zip(a_buf.chunks_mut(a_len)).collect();
-        work.into_par_iter().for_each(|(t, a_pack)| {
-            region_shared_b(
-                c_out,
-                t.rows.start,
-                t.rows.len(),
-                t.cols.start,
-                t.cols.len(),
-                k,
-                alpha,
-                a_ref,
-                blocking,
-                slivers,
-                a_pack,
-            );
-        });
+        // Cooperative schedule: all of op(B) is packed exactly once, in the
+        // same tight layout a `PackedB` holds, then every task reads it
+        // through the `gemm_packed` driver while packing only its own op(A)
+        // rows. Total packing work thus matches the serial schedule instead
+        // of scaling with the task count.
+        let a_len = a_sliver_len(m, k, blocking);
+        let buf = scratch.ensure(layout.len() + tasks.len() * a_len);
+        let (b_buf, a_buf) = buf.split_at_mut(layout.len());
+        pack_b_all(b_buf, b_ref, layout);
+        let packed = PackedRef { data: b_buf, layout };
+        drive_packed_b(c_out, m, alpha, a_ref, packed, blocking.mc, tasks, a_buf, a_len);
     } else {
         let buf = scratch.ensure(per_task * tasks.len());
         let work: Vec<(GridTask, &mut [f32])> =
@@ -739,6 +908,112 @@ pub fn gemm_blocked_scheduled(
         });
     }
     Ok(())
+}
+
+/// Computes `C = alpha * op(A) · op(B) + beta * C` against an `op(B)`
+/// packed once by [`PackedB::new`], packing only `op(A)` per call.
+///
+/// Bitwise identical to [`gemm_blocked`] on the unpacked operand with the
+/// same blocking, at every thread count: the parallel grid, the `op(A)`
+/// packing and the driver are the [`GemmSchedule::SharedPack`] schedule's,
+/// minus the per-call `op(B)` packing. Scratch holds only the `op(A)`
+/// slivers.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] if `a` or `c` is not rank-2 and
+/// [`TensorError::ShapeMismatch`] if inner or output dimensions disagree.
+pub fn gemm_packed(
+    alpha: f32,
+    a: &Tensor,
+    ta: Transpose,
+    b: &PackedB,
+    beta: f32,
+    c: &mut Tensor,
+    scratch: &mut GemmScratch,
+) -> Result<(), TensorError> {
+    taamr_obs::incr(taamr_obs::Counter::GemmCalls);
+    let (k, n) = (b.k(), b.n());
+    let Some((m, _)) = begin(alpha, a, ta, (k, n), &[k, n], beta, c)? else {
+        return Ok(());
+    };
+    let blocking = b.blocking();
+    // Only op(A) slivers are packed per call: one per (K block, row block)
+    // on the canonical serial schedule.
+    let packs = k.div_ceil(blocking.kc) * m.div_ceil(blocking.mc);
+    taamr_obs::add(taamr_obs::Counter::GemmPanelPacks, packs as u64);
+
+    let c_out = COut { ptr: c.as_mut_slice().as_mut_ptr(), ldc: n };
+    let tasks = task_grid(m, n, k, blocking);
+    let a_len = a_sliver_len(m, k, blocking);
+    let a_buf = scratch.ensure(tasks.len().max(1) * a_len);
+    drive_packed_b(c_out, m, alpha, MatRef::of(a, ta), b.view(), blocking.mc, tasks, a_buf, a_len);
+    Ok(())
+}
+
+/// Logical `(rows, cols)` of `op(t)` for a rank-2 `t`.
+fn op_dims(t: &Tensor, trans: Transpose) -> (usize, usize) {
+    let (r, c) = (t.dims()[0], t.dims()[1]);
+    if trans.is_yes() { (c, r) } else { (r, c) }
+}
+
+/// The shape checks and `beta` pre-scale every GEMM entry point shares,
+/// given `op(B)`'s logical `(k, n)` and the dimensions to report for `B` in
+/// a shape error. Returns `(m, k)` when there is product work left to do,
+/// `None` when `alpha` is zero or some dimension is empty.
+fn begin(
+    alpha: f32,
+    a: &Tensor,
+    ta: Transpose,
+    (kb, n): (usize, usize),
+    b_dims: &[usize],
+    beta: f32,
+    c: &mut Tensor,
+) -> Result<Option<(usize, usize)>, TensorError> {
+    for t in [a, &*c] {
+        if t.rank() != 2 {
+            return Err(TensorError::RankMismatch { op: "gemm", expected: 2, actual: t.rank() });
+        }
+    }
+    let (m, ka) = op_dims(a, ta);
+    if ka != kb {
+        return Err(TensorError::ShapeMismatch {
+            op: "gemm",
+            lhs: a.dims().to_vec(),
+            rhs: b_dims.to_vec(),
+        });
+    }
+    if c.dims() != [m, n] {
+        return Err(TensorError::ShapeMismatch {
+            op: "gemm",
+            lhs: vec![m, n],
+            rhs: c.dims().to_vec(),
+        });
+    }
+    if beta != 1.0 {
+        if beta == 0.0 {
+            c.fill_zero();
+        } else {
+            c.scale(beta);
+        }
+    }
+    Ok((alpha != 0.0 && m > 0 && n > 0 && ka > 0).then_some((m, ka)))
+}
+
+/// The parallel task grid for an `m × n × k` product: empty (run serially)
+/// below [`PAR_MIN_WORK`] or on one thread.
+fn task_grid(m: usize, n: usize, k: usize, blocking: BlockSizes) -> Vec<GridTask> {
+    let threads = rayon::current_num_threads();
+    if threads > 1 && m * n * k >= PAR_MIN_WORK {
+        // Work-stealing-friendly grid: NC-aligned column stripes ×
+        // MR-aligned row blocks, oversubscribed so early finishers steal the
+        // tail. The partition depends only on shape and thread policy and is
+        // invisible to the summation order — every output element is owned
+        // by exactly one task walking the absolute K blocks ascending.
+        block_grid(m, n, MR, blocking.nc, threads * rayon::CHUNKS_PER_WORKER)
+    } else {
+        Vec::new()
+    }
 }
 
 impl Tensor {

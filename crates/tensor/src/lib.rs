@@ -47,8 +47,8 @@ mod tensor;
 pub use conv::{col2im, col2im_into, im2col, im2col_into, Conv2dGeometry};
 pub use error::TensorError;
 pub use gemm::{
-    dot_blocked, gemm, gemm_blocked, gemm_blocked_scheduled, gemm_with_scratch, BlockSizes,
-    GemmSchedule, Transpose, GEMM_BLOCKING, GEMM_KC, MR, NR,
+    dot_blocked, gemm, gemm_blocked, gemm_blocked_scheduled, gemm_packed, gemm_with_scratch,
+    BlockSizes, GemmSchedule, PackedB, Transpose, GEMM_BLOCKING, GEMM_KC, MR, NR,
 };
 pub use partition::{aligned_blocks, block_grid, GridTask};
 pub use init::seeded_rng;

@@ -95,6 +95,29 @@ impl Tensor {
         self.shape = shape;
     }
 
+    /// Reshapes this tensor in place to the rank-2 `dims` and copies `row`
+    /// into every row, reusing the existing allocation whenever it is large
+    /// enough.
+    ///
+    /// The broadcast counterpart of [`Tensor::reset_to_copy`]: one write
+    /// pass, where [`Tensor::reset_to_zeros`] followed by per-row copies
+    /// writes every element twice. Reuse vs. growth is recorded in the same
+    /// scratch telemetry counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` is not rank-2 or `row.len() != dims[1]`.
+    pub fn reset_to_rows(&mut self, dims: &[usize], row: &[f32]) {
+        assert!(dims.len() == 2 && row.len() == dims[1], "reset_to_rows: row must span dims[1]");
+        let shape = Shape::new(dims);
+        crate::scratch::count_reuse(shape.len() > self.data.capacity());
+        self.data.clear();
+        for _ in 0..dims[0] {
+            self.data.extend_from_slice(row);
+        }
+        self.shape = shape;
+    }
+
     /// Creates the `n × n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Self::zeros(&[n, n]);
@@ -305,6 +328,18 @@ impl<'a> IntoIterator for &'a Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reset_to_rows_broadcasts_over_stale_contents() {
+        let mut t = Tensor::full(&[3, 4], 9.0);
+        t.reset_to_rows(&[2, 3], &[1.0, -0.0, 2.5]);
+        assert_eq!(t.dims(), &[2, 3]);
+        let bits: Vec<u32> = t.iter().map(|v| v.to_bits()).collect();
+        let row = [1.0f32.to_bits(), (-0.0f32).to_bits(), 2.5f32.to_bits()];
+        assert_eq!(bits, [row, row].concat());
+        t.reset_to_rows(&[0, 3], &[1.0, 2.0, 3.0]);
+        assert!(t.is_empty());
+    }
 
     #[test]
     fn constructors_have_expected_contents() {

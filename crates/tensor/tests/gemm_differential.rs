@@ -15,8 +15,8 @@
 
 use proptest::prelude::*;
 use taamr_tensor::{
-    gemm, gemm_blocked_scheduled, seeded_rng, GemmSchedule, GemmScratch, Tensor, Transpose,
-    GEMM_BLOCKING, GEMM_KC,
+    gemm, gemm_blocked, gemm_blocked_scheduled, gemm_packed, seeded_rng, BlockSizes,
+    GemmSchedule, GemmScratch, PackedB, Tensor, Transpose, GEMM_BLOCKING, GEMM_KC, NR,
 };
 
 /// Scalar model of the kernel's summation-order contract.
@@ -211,5 +211,162 @@ fn explicit_pack_schedules_match_reference_bitwise() {
                 }
             }
         }
+    }
+}
+
+/// Tight packed length of a `k × n` operand: `Σ kcb · ceil(ncb/NR)·NR` over
+/// its `KC × NC` slivers, written out as the sum it is.
+fn tight_len(k: usize, n: usize, bs: BlockSizes) -> usize {
+    let mut len = 0;
+    for jc in (0..n).step_by(bs.nc) {
+        let ncb = bs.nc.min(n - jc);
+        for pc in (0..k).step_by(bs.kc) {
+            len += bs.kc.min(k - pc) * ncb.div_ceil(NR) * NR;
+        }
+    }
+    len
+}
+
+/// A product against a once-packed `op(B)` must land on exactly the bits of
+/// the per-call-packing kernel: `k` and `n` at 0, 1, a prime and past
+/// `KC`/`NC`, row counts 1–5 (partial `MR` panels), both `op(B)`
+/// transposes, nonzero alpha/beta, at 1/2/8 threads. One packed operand
+/// serves every row count and thread count, as a scoring plan's does.
+#[test]
+fn prepacked_b_matches_per_call_packing_bitwise() {
+    let ks = [0usize, 1, 7, 31, 257, 300];
+    let ns = [0usize, 1, 13, 257, 600];
+    let mut scratch = GemmScratch::new();
+    for (ki, &k) in ks.iter().enumerate() {
+        for (ni, &n) in ns.iter().enumerate() {
+            for tb in [Transpose::No, Transpose::Yes] {
+                let seed = (ki * 16 + ni) as u64 * 4;
+                let b = match tb {
+                    Transpose::No => operand(k, n, seed),
+                    Transpose::Yes => operand(n, k, seed),
+                };
+                let dims = [b.dims()[0], b.dims()[1]];
+                let packed = PackedB::new(b.as_slice(), dims, tb, GEMM_BLOCKING).expect("dims match");
+                assert_eq!((packed.k(), packed.n()), (k, n));
+                assert_eq!(packed.len(), tight_len(k, n, GEMM_BLOCKING), "k={k} n={n}");
+                for m in 1..=5 {
+                    let a = operand(m, k, seed + 1);
+                    let c0 = operand(m, n, seed + 2);
+                    let mut want = c0.clone();
+                    gemm_blocked(
+                        0.75, &a, Transpose::No, &b, tb, 0.25, &mut want, GEMM_BLOCKING,
+                        &mut scratch,
+                    )
+                    .expect("shapes are consistent");
+                    for threads in [1usize, 2, 8] {
+                        let mut got = c0.clone();
+                        rayon::with_threads(threads, || {
+                            gemm_packed(0.75, &a, Transpose::No, &packed, 0.25, &mut got, &mut scratch)
+                                .expect("shapes are consistent");
+                        });
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "threads={threads} m={m} k={k} n={n} tb={tb:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The parallel grid engages only past a work threshold the small shapes
+/// above stay under, so the catalog-scoring shape (many users, 20k items,
+/// 32 factors) checks the threaded `gemm_packed` path against both the
+/// per-call-packing schedules, `op(A)` transposed included.
+#[test]
+fn prepacked_b_matches_threaded_schedules_bitwise() {
+    let (m, k, n) = (13usize, 32usize, 20_000usize);
+    let items = operand(n, k, 41);
+    let packed =
+        PackedB::new(items.as_slice(), [n, k], Transpose::Yes, GEMM_BLOCKING).expect("dims match");
+    for ta in [Transpose::No, Transpose::Yes] {
+        let a = match ta {
+            Transpose::No => operand(m, k, 42),
+            Transpose::Yes => operand(k, m, 42),
+        };
+        let c0 = operand(m, n, 43);
+        let mut want = c0.clone();
+        gemm(1.5, &a, ta, &items, Transpose::Yes, -0.5, &mut want).expect("shapes are consistent");
+        for threads in [1usize, 2, 8] {
+            for schedule in [GemmSchedule::SharedPack, GemmSchedule::PerTaskPack] {
+                let mut got = c0.clone();
+                rayon::with_threads(threads, || {
+                    gemm_blocked_scheduled(
+                        1.5, &a, ta, &items, Transpose::Yes, -0.5, &mut got, GEMM_BLOCKING,
+                        &mut GemmScratch::new(), schedule,
+                    )
+                    .expect("shapes are consistent");
+                });
+                assert_eq!(bits(&got), bits(&want), "schedule={schedule:?} threads={threads} ta={ta:?}");
+            }
+            let mut got = c0.clone();
+            rayon::with_threads(threads, || {
+                gemm_packed(1.5, &a, ta, &packed, -0.5, &mut got, &mut GemmScratch::new())
+                    .expect("shapes are consistent");
+            });
+            assert_eq!(bits(&got), bits(&want), "gemm_packed threads={threads} ta={ta:?}");
+        }
+    }
+}
+
+/// `PackedB::at` reads `op(B)` back out of the panel layout, and a shape
+/// that disagrees with the packed operand is a typed error.
+#[test]
+fn packed_b_reads_back_and_rejects_bad_shapes() {
+    let b = operand(300, 270, 51);
+    for tb in [Transpose::No, Transpose::Yes] {
+        let packed = PackedB::new(b.as_slice(), [300, 270], tb, GEMM_BLOCKING).expect("dims match");
+        for (p, j) in [(0usize, 0usize), (1, 16), (255, 255), (256, 17), (263, 259), (269, 269)] {
+            let want = match tb {
+                Transpose::No => b.at(&[p, j]),
+                Transpose::Yes => b.at(&[j, p]),
+            };
+            assert_eq!(packed.at(p, j).to_bits(), want.to_bits(), "tb={tb:?} ({p}, {j})");
+        }
+    }
+    assert!(PackedB::new(b.as_slice(), [300, 271], Transpose::No, GEMM_BLOCKING).is_err());
+    let packed = PackedB::new(b.as_slice(), [300, 270], Transpose::No, GEMM_BLOCKING).expect("dims match");
+    let mut c = Tensor::zeros(&[2, 270]);
+    let short = operand(2, 299, 52);
+    assert!(gemm_packed(1.0, &short, Transpose::No, &packed, 0.0, &mut c, &mut GemmScratch::new()).is_err());
+}
+
+/// The shared-pack schedule packs `op(B)` in the same tight layout: for a
+/// single-user catalog product (1 × 32 × 20000) its scratch high-water mark
+/// stays within 2× the tight size, so the arena holds the operand, not
+/// `KC`-padded slivers of it.
+#[test]
+fn shared_pack_scratch_stays_near_tight_size() {
+    let (m, k, n) = (1usize, 32usize, 20_000usize);
+    let a = operand(m, k, 61);
+    let items = operand(n, k, 62);
+    let tight = tight_len(k, n, GEMM_BLOCKING);
+    for threads in [2usize, 8] {
+        let mut scratch = GemmScratch::new();
+        let mut c = Tensor::zeros(&[m, n]);
+        rayon::with_threads(threads, || {
+            gemm_blocked_scheduled(
+                1.0, &a, Transpose::No, &items, Transpose::Yes, 0.0, &mut c, GEMM_BLOCKING,
+                &mut scratch, GemmSchedule::SharedPack,
+            )
+            .expect("shapes are consistent");
+        });
+        if rayon::serial_feature_enabled() {
+            // The `serial` feature pins one thread: the per-task schedule
+            // ran, whose scratch is a single KC × NC sliver pair.
+            continue;
+        }
+        assert!(
+            scratch.capacity() >= tight && scratch.capacity() <= 2 * tight,
+            "threads={threads}: scratch {} floats for a {tight}-float packed operand",
+            scratch.capacity()
+        );
     }
 }

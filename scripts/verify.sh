@@ -89,10 +89,12 @@ echo "== cargo test -p taamr --features serial -q (serial fallback)"
 cargo test -p taamr --features serial -q
 
 # Kernel audit: the packed-panel GEMM's bit-level contract (differential
-# harness vs the canonical-order reference, plus the golden digests), run
-# under the `serial` feature so the single-threaded schedule — the one the
+# harness vs the canonical-order reference, the pre-packed `op(B)` cases —
+# `gemm_packed` == `gemm_blocked` bitwise, the tight `PackedB` length and
+# the shared-pack scratch bound — plus the golden digests), run under the
+# `serial` feature so the single-threaded schedule — the one the
 # fixed-summation-order contract is defined against — is what gets checked.
-echo "== kernel audit: differential + golden GEMM tests (serial feature)"
+echo "== kernel audit: differential (incl. pre-packed B) + golden GEMM tests (serial feature)"
 cargo test -p taamr-tensor --features serial -q \
     --test gemm_differential --test golden_kernel
 
@@ -146,6 +148,16 @@ cargo test -p taamr-serve -q --test supervision --test swap --test hot_path
 echo "== serve audit: supervision + swap + hot-path tests (serial feature)"
 cargo test -p taamr-serve --features serial -q --test supervision --test swap --test hot_path
 
+# Supervision flake guard: the supervision tests share process-global fault
+# plans, so a test that skips the binary's gate can consume another test's
+# planted panic in only some interleavings. Twenty consecutive runs of the
+# binary must all pass.
+echo "== serve audit: supervision flake guard (20 consecutive runs)"
+for run in $(seq 1 20); do
+    cargo test -p taamr-serve -q --test supervision > /dev/null \
+        || { echo "supervision failed on run $run of 20"; exit 1; }
+done
+
 # Scale audit: sharded scoring must be bitwise invisible — the shard-
 # streaming drivers and the default-plan drivers land on identical lists
 # and ranks for every model family, ragged shard height, and thread count,
@@ -158,15 +170,17 @@ cargo test -p taamr -q --test scale_grid
 echo "== scale audit: sharded scoring differential (serial feature)"
 cargo test -p taamr --features serial -q --test scale_grid
 
-# Perf smoke: the gemm_256 dispatch-overhead guard self-skips without
-# TAAMR_PERF_TESTS=1; enable it here where a release build is available.
+# Perf smoke: the gemm_256 dispatch-overhead guard and the pre-packed
+# score_gather guard self-skip without TAAMR_PERF_TESTS=1; enable them here
+# where a release build is available. One test at a time, so no wall-clock
+# test is timed while another one loads the cores.
 # Smoke form (best-of-3 medians, 25% headroom) keeps it non-flaky on
 # loaded boxes. On multi-core hosts the same binary also asserts gemm_256
 # scales >= 1.5x at 8 threads; on single-core hosts that test self-skips
 # with the reason printed.
 if [ "$QUICK" != "--quick" ]; then
     echo "== perf smoke: gemm_256 dispatch overhead + scaling (TAAMR_PERF_TESTS=1)"
-    TAAMR_PERF_TESTS=1 cargo test -p taamr --release -q --test perf_kernel
+    TAAMR_PERF_TESTS=1 cargo test -p taamr --release -q --test perf_kernel -- --test-threads=1
 fi
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"

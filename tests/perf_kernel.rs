@@ -6,7 +6,8 @@
 //! median-of-5 samples with generous headroom, tuned to catch order-of-
 //! magnitude scheduling regressions rather than percent-level drift.
 //!
-//! Two contracts, gated on the host's actual core count:
+//! Two GEMM scheduling contracts, gated on the host's actual core count,
+//! and one scoring contract:
 //!
 //! - **Single-core hosts** (`available_parallelism() < 2`): the ambient
 //!   pool resolves to one worker and the parallel entry point runs the
@@ -17,11 +18,19 @@
 //!   faster than serial. The shared-pack schedule packs each `op(B)`
 //!   sliver once regardless of worker count, so anything below 1.5× on
 //!   real cores means the partition or the pack-reuse path regressed.
+//! - **Pre-packed catalog scoring**: a single-user `score_gather` on a
+//!   20k-item × 32-factor BPR-MF plan reads item factors the plan packed
+//!   once, so it must take at most half of the same-shape `gemm_blocked`
+//!   call that packs `op(B)` itself. A regression to per-call packing
+//!   fails it (it then reads about 1.2×).
 
 use std::time::Instant;
 
 use taamr::parallel::with_threads;
-use taamr_tensor::{gemm, seeded_rng, Tensor, Transpose};
+use taamr_recsys::{BprMf, ScoreBlock, ScoringEngine};
+use taamr_tensor::{
+    gemm, gemm_blocked, seeded_rng, GemmScratch, Tensor, Transpose, GEMM_BLOCKING,
+};
 
 /// True unless the caller opted in via `TAAMR_PERF_TESTS=1`.
 fn perf_tests_disabled() -> bool {
@@ -127,4 +136,63 @@ fn gemm_256_parallel_scales_on_multicore_hosts() {
         "gemm_256 8-thread speedup is {best_speedup:.3}x on a {cores}-core host; \
          parallel schedule stopped scaling"
     );
+}
+
+/// Median of 5 timed runs of `f` after one warm-up, in nanoseconds.
+fn median_of_5_ns(mut f: impl FnMut()) -> u128 {
+    f();
+    let mut samples: Vec<u128> = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos()
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[2]
+}
+
+/// Pre-packing contract: one user scored against a 20k × 32 BPR-MF plan
+/// through `score_gather` costs at most half of one `1 × 32 × 20000`
+/// `gemm_blocked` that packs the item matrix per call. Both run on one
+/// thread, so the ratio compares packing work, not scheduling.
+#[test]
+fn prepacked_score_gather_beats_per_call_packing() {
+    if perf_tests_disabled() {
+        return;
+    }
+    let (items, factors) = (20_000usize, 32usize);
+    let model = BprMf::new(64, items, factors, &mut seeded_rng(7));
+    let engine = ScoringEngine::for_model(&model);
+    let mut block = ScoreBlock::new();
+    let user = Tensor::rand_uniform(&[1, factors], -1.0, 1.0, &mut seeded_rng(8));
+    let item_rows = Tensor::rand_uniform(&[items, factors], -1.0, 1.0, &mut seeded_rng(9));
+    let mut c = Tensor::zeros(&[1, items]);
+    let mut scratch = GemmScratch::new();
+    let mut best_ratio = f64::INFINITY;
+    for attempt in 0..3 {
+        let (gather, per_call) = with_threads(1, || {
+            let gather = median_of_5_ns(|| {
+                engine.score_gather(&model, &[5], &mut block).unwrap();
+            });
+            let per_call = median_of_5_ns(|| {
+                gemm_blocked(
+                    1.0, &user, Transpose::No, &item_rows, Transpose::Yes, 1.0, &mut c,
+                    GEMM_BLOCKING, &mut scratch,
+                )
+                .unwrap();
+            });
+            (gather, per_call)
+        });
+        let ratio = gather as f64 / per_call as f64;
+        eprintln!(
+            "score_gather b=1 attempt {attempt}: {gather} ns, per-call-packing gemm \
+             {per_call} ns, ratio {ratio:.3}"
+        );
+        best_ratio = best_ratio.min(ratio);
+        if best_ratio <= 0.5 {
+            return;
+        }
+    }
+    panic!("single-user score_gather is {best_ratio:.3}x a per-call-packing gemm; expected <= 0.5x");
 }
