@@ -155,7 +155,7 @@ impl CatalogPlan {
     #[must_use]
     pub fn with_term(mut self, items: &[f32], dim: usize) -> Self {
         assert_eq!(self.kind, PlanKind::Gemm, "factor terms require a gemm plan");
-        match PackedB::new(items, [self.num_items, dim], Transpose::Yes, GEMM_BLOCKING) {
+        match PackedB::new(items, [self.num_items, dim], Transpose::Yes) {
             Ok(packed) => self.terms.push(packed),
             Err(e) => panic!("item factors must cover every item: {e}"),
         }

@@ -365,8 +365,7 @@ fn region_per_task_impl(
 struct PackLayout {
     k: usize,
     n: usize,
-    kc: usize,
-    nc: usize,
+    bs: BlockSizes,
 }
 
 /// `cols` rounded up to whole `NR` panels.
@@ -378,17 +377,18 @@ impl PackLayout {
     /// Floats of one full column block (every `KC` block of `NC` columns);
     /// also the offset stride between column blocks.
     fn stripe_len(&self) -> usize {
-        self.k * panel_cols(self.nc.min(self.n))
+        self.k * panel_cols(self.bs.nc.min(self.n))
     }
 
     /// Total floats of the packed operand.
     fn len(&self) -> usize {
-        self.k * ((self.n / self.nc) * panel_cols(self.nc) + panel_cols(self.n % self.nc))
+        let nc = self.bs.nc;
+        self.k * ((self.n / nc) * panel_cols(nc) + panel_cols(self.n % nc))
     }
 
     /// Number of `KC × NC` slivers.
     fn slivers(&self) -> usize {
-        self.n.div_ceil(self.nc) * self.k.div_ceil(self.kc)
+        self.n.div_ceil(self.bs.nc) * self.k.div_ceil(self.bs.kc)
     }
 
     /// The float range of the sliver at column block `jc` and `K` block
@@ -396,9 +396,10 @@ impl PackLayout {
     /// is full width and every earlier `K` block full depth, which is what
     /// makes the offset closed-form.
     fn sliver(&self, jc: usize, pc: usize) -> Range<usize> {
-        let width = panel_cols(self.nc.min(self.n - jc));
-        let start = (jc / self.nc) * self.k * panel_cols(self.nc) + pc * width;
-        start..start + self.kc.min(self.k - pc) * width
+        let BlockSizes { kc, nc, .. } = self.bs;
+        let width = panel_cols(nc.min(self.n - jc));
+        let start = (jc / nc) * self.k * panel_cols(nc) + pc * width;
+        start..start + kc.min(self.k - pc) * width
     }
 }
 
@@ -409,11 +410,12 @@ fn pack_b_all(dst: &mut [f32], b: MatRef<'_>, layout: PackLayout) {
     if dst.is_empty() {
         return;
     }
+    let BlockSizes { kc, nc, .. } = layout.bs;
     dst.par_chunks_mut(layout.stripe_len()).enumerate().for_each(|(s, stripe)| {
-        let jc = s * layout.nc;
-        let ncb = layout.nc.min(layout.n - jc);
-        for pc in (0..layout.k).step_by(layout.kc) {
-            let kcb = layout.kc.min(layout.k - pc);
+        let jc = s * nc;
+        let ncb = nc.min(layout.n - jc);
+        for pc in (0..layout.k).step_by(kc) {
+            let kcb = kc.min(layout.k - pc);
             let at = pc * panel_cols(ncb);
             pack_b(&mut stripe[at..at + kcb * panel_cols(ncb)], b, pc, kcb, jc, ncb);
         }
@@ -435,18 +437,18 @@ struct PackedRef<'a> {
 /// `KC × NC` sliver by sliver, each sliver exactly `kcb · ceil(ncb/NR)·NR`
 /// floats (no padding up to `KC`). [`gemm_packed`] then packs only `op(A)`
 /// per call. Packing is a pure copy and [`gemm_packed`] walks the same
-/// ascending `KC` blocks, so its results are bitwise identical to
-/// [`gemm_blocked`] with the same blocking.
+/// ascending `KC` blocks, so its results are bitwise identical to [`gemm`]
+/// (which packs `op(B)` per call, on the same [`GEMM_BLOCKING`]).
 ///
 /// # Example
 ///
 /// ```
-/// use taamr_tensor::{gemm, gemm_packed, GemmScratch, PackedB, Tensor, Transpose, GEMM_BLOCKING};
+/// use taamr_tensor::{gemm, gemm_packed, GemmScratch, PackedB, Tensor, Transpose};
 ///
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
 /// let items = Tensor::from_vec((0..12).map(|v| v as f32).collect(), &[4, 3])?;
 /// // Score both rows of `a` against the four rows of `items`: a · itemsᵀ.
-/// let packed = PackedB::new(items.as_slice(), [4, 3], Transpose::Yes, GEMM_BLOCKING)?;
+/// let packed = PackedB::new(items.as_slice(), [4, 3], Transpose::Yes)?;
 /// let mut c = Tensor::zeros(&[2, 4]);
 /// gemm_packed(1.0, &a, Transpose::No, &packed, 0.0, &mut c, &mut GemmScratch::new())?;
 /// let mut want = Tensor::zeros(&[2, 4]);
@@ -456,41 +458,31 @@ struct PackedRef<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PackedB {
+    /// Shape and blocking, kept as runtime values for the driver (see
+    /// [`region_packed_b`]).
     layout: PackLayout,
-    /// Row-block length of the `op(A)` slivers [`gemm_packed`] packs.
-    mc: usize,
     data: Vec<f32>,
 }
 
 impl PackedB {
     /// Packs `op(B)`, where `b` is a row-major `dims[0] × dims[1]` matrix
-    /// and `op` is given by `tb`, for products on `blocking`. The
+    /// and `op` is given by `tb`, on [`GEMM_BLOCKING`]. The
     /// `gemm_panel_packs` telemetry counts its slivers here, once.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::LengthMismatch`] if `b.len() != dims[0] *
     /// dims[1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any field of `blocking` is zero.
-    pub fn new(
-        b: &[f32],
-        dims: [usize; 2],
-        tb: Transpose,
-        blocking: BlockSizes,
-    ) -> Result<Self, TensorError> {
-        blocking.assert_positive();
+    pub fn new(b: &[f32], dims: [usize; 2], tb: Transpose) -> Result<Self, TensorError> {
         if b.len() != dims[0] * dims[1] {
             return Err(TensorError::LengthMismatch { expected: dims[0] * dims[1], actual: b.len() });
         }
         let (k, n) = if tb.is_yes() { (dims[1], dims[0]) } else { (dims[0], dims[1]) };
-        let layout = PackLayout { k, n, kc: blocking.kc, nc: blocking.nc };
+        let layout = PackLayout { k, n, bs: GEMM_BLOCKING };
         let mut data = vec![0.0; layout.len()];
         pack_b_all(&mut data, MatRef { data: b, ld: dims[1], trans: tb.is_yes() }, layout);
         taamr_obs::add(taamr_obs::Counter::GemmPanelPacks, layout.slivers() as u64);
-        Ok(PackedB { layout, mc: blocking.mc, data })
+        Ok(PackedB { layout, data })
     }
 
     /// Rows of `op(B)`: the shared dimension of the products.
@@ -501,11 +493,6 @@ impl PackedB {
     /// Columns of `op(B)`: the output columns of the products.
     pub fn n(&self) -> usize {
         self.layout.n
-    }
-
-    /// The blocking the operand was packed for.
-    fn blocking(&self) -> BlockSizes {
-        BlockSizes { mc: self.mc, nc: self.layout.nc, kc: self.layout.kc }
     }
 
     /// Packed length in floats: `Σ kcb · ceil(ncb/NR)·NR` over the slivers.
@@ -526,8 +513,9 @@ impl PackedB {
     pub fn at(&self, p: usize, j: usize) -> f32 {
         let l = self.layout;
         assert!(p < l.k && j < l.n, "({p}, {j}) out of range for a {} × {} operand", l.k, l.n);
-        let (jc, pc) = (j - j % l.nc, p - p % l.kc);
-        let kcb = l.kc.min(l.k - pc);
+        let BlockSizes { kc, nc, .. } = l.bs;
+        let (jc, pc) = (j - j % nc, p - p % kc);
+        let kcb = kc.min(l.k - pc);
         let (jj, pp) = (j - jc, p - pc);
         self.data[l.sliver(jc, pc).start + (jj / NR) * kcb * NR + pp * NR + jj % NR]
     }
@@ -550,7 +538,7 @@ impl PackedB {
 /// results, since each output element still accumulates its `KC` blocks in
 /// ascending order.
 ///
-/// The blocking arrives as runtime values (`b.layout`, `mc`), as it does in
+/// The blocking arrives as runtime values (`b.layout.bs`), as it does in
 /// [`region_per_task`]. With `GEMM_BLOCKING` hardcoded in this driver
 /// instead, LLVM emitted scalar `vmulss` for the AVX2 clone's micro-kernel
 /// and the single-user catalog product ran 1.5× slower than packing `op(B)`
@@ -567,16 +555,15 @@ fn region_packed_b(
     alpha: f32,
     a: MatRef<'_>,
     b: PackedRef<'_>,
-    mc: usize,
     a_pack: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: as for `region_per_task_avx2`.
-        unsafe { region_packed_b_avx2(c, row0, m, col0, n, alpha, a, b, mc, a_pack) };
+        unsafe { region_packed_b_avx2(c, row0, m, col0, n, alpha, a, b, a_pack) };
         return;
     }
-    region_packed_b_impl(c, row0, m, col0, n, alpha, a, b, mc, a_pack);
+    region_packed_b_impl(c, row0, m, col0, n, alpha, a, b, a_pack);
 }
 
 /// AVX2-compiled clone of [`region_packed_b_impl`]; see
@@ -593,10 +580,9 @@ fn region_packed_b_avx2(
     alpha: f32,
     a: MatRef<'_>,
     b: PackedRef<'_>,
-    mc: usize,
     a_pack: &mut [f32],
 ) {
-    region_packed_b_impl(c, row0, m, col0, n, alpha, a, b, mc, a_pack);
+    region_packed_b_impl(c, row0, m, col0, n, alpha, a, b, a_pack);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -610,10 +596,9 @@ fn region_packed_b_impl(
     alpha: f32,
     a: MatRef<'_>,
     b: PackedRef<'_>,
-    mc: usize,
     a_pack: &mut [f32],
 ) {
-    let PackLayout { k, kc, nc, .. } = b.layout;
+    let PackLayout { k, bs: BlockSizes { mc, nc, kc }, .. } = b.layout;
     debug_assert_eq!(col0 % nc, 0, "column stripes must start on an NC boundary");
     // Absolute, ascending K blocks outermost: the summation-order anchor.
     for pc in (0..k).step_by(kc) {
@@ -648,18 +633,17 @@ fn drive_packed_b(
     alpha: f32,
     a: MatRef<'_>,
     b: PackedRef<'_>,
-    mc: usize,
     tasks: Vec<GridTask>,
     a_buf: &mut [f32],
     a_len: usize,
 ) {
     if tasks.len() <= 1 {
-        region_packed_b(c, 0, m, 0, b.layout.n, alpha, a, b, mc, &mut a_buf[..a_len]);
+        region_packed_b(c, 0, m, 0, b.layout.n, alpha, a, b, &mut a_buf[..a_len]);
         return;
     }
     let work: Vec<(GridTask, &mut [f32])> = tasks.into_iter().zip(a_buf.chunks_mut(a_len)).collect();
     work.into_par_iter().for_each(|(t, a_pack)| {
-        region_packed_b(c, t.rows.start, t.rows.len(), t.cols.start, t.cols.len(), alpha, a, b, mc, a_pack);
+        region_packed_b(c, t.rows.start, t.rows.len(), t.cols.start, t.cols.len(), alpha, a, b, a_pack);
     });
 }
 
@@ -869,7 +853,7 @@ pub fn gemm_blocked_scheduled(
         return Ok(());
     }
 
-    let layout = PackLayout { k, n, kc: blocking.kc, nc: blocking.nc };
+    let layout = PackLayout { k, n, bs: blocking };
     let use_shared = match schedule {
         GemmSchedule::Auto => layout.len() <= SHARED_PACK_CAP,
         GemmSchedule::SharedPack => true,
@@ -886,7 +870,7 @@ pub fn gemm_blocked_scheduled(
         let (b_buf, a_buf) = buf.split_at_mut(layout.len());
         pack_b_all(b_buf, b_ref, layout);
         let packed = PackedRef { data: b_buf, layout };
-        drive_packed_b(c_out, m, alpha, a_ref, packed, blocking.mc, tasks, a_buf, a_len);
+        drive_packed_b(c_out, m, alpha, a_ref, packed, tasks, a_buf, a_len);
     } else {
         let buf = scratch.ensure(per_task * tasks.len());
         let work: Vec<(GridTask, &mut [f32])> =
@@ -913,8 +897,8 @@ pub fn gemm_blocked_scheduled(
 /// Computes `C = alpha * op(A) · op(B) + beta * C` against an `op(B)`
 /// packed once by [`PackedB::new`], packing only `op(A)` per call.
 ///
-/// Bitwise identical to [`gemm_blocked`] on the unpacked operand with the
-/// same blocking, at every thread count: the parallel grid, the `op(A)`
+/// Bitwise identical to [`gemm`] on the unpacked operand at every thread
+/// count: the parallel grid, the `op(A)`
 /// packing and the driver are the [`GemmSchedule::SharedPack`] schedule's,
 /// minus the per-call `op(B)` packing. Scratch holds only the `op(A)`
 /// slivers.
@@ -937,7 +921,7 @@ pub fn gemm_packed(
     let Some((m, _)) = begin(alpha, a, ta, (k, n), &[k, n], beta, c)? else {
         return Ok(());
     };
-    let blocking = b.blocking();
+    let blocking = b.layout.bs;
     // Only op(A) slivers are packed per call: one per (K block, row block)
     // on the canonical serial schedule.
     let packs = k.div_ceil(blocking.kc) * m.div_ceil(blocking.mc);
@@ -947,7 +931,7 @@ pub fn gemm_packed(
     let tasks = task_grid(m, n, k, blocking);
     let a_len = a_sliver_len(m, k, blocking);
     let a_buf = scratch.ensure(tasks.len().max(1) * a_len);
-    drive_packed_b(c_out, m, alpha, MatRef::of(a, ta), b.view(), blocking.mc, tasks, a_buf, a_len);
+    drive_packed_b(c_out, m, alpha, MatRef::of(a, ta), b.view(), tasks, a_buf, a_len);
     Ok(())
 }
 

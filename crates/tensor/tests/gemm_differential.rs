@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use taamr_tensor::{
-    gemm, gemm_blocked, gemm_blocked_scheduled, gemm_packed, seeded_rng, BlockSizes,
+    gemm, gemm_blocked, gemm_blocked_scheduled, gemm_packed, seeded_rng,
     GemmSchedule, GemmScratch, PackedB, Tensor, Transpose, GEMM_BLOCKING, GEMM_KC, NR,
 };
 
@@ -215,8 +215,10 @@ fn explicit_pack_schedules_match_reference_bitwise() {
 }
 
 /// Tight packed length of a `k × n` operand: `Σ kcb · ceil(ncb/NR)·NR` over
-/// its `KC × NC` slivers, written out as the sum it is.
-fn tight_len(k: usize, n: usize, bs: BlockSizes) -> usize {
+/// its `KC × NC` slivers on the production blocking, written out as the sum
+/// it is.
+fn tight_len(k: usize, n: usize) -> usize {
+    let bs = GEMM_BLOCKING;
     let mut len = 0;
     for jc in (0..n).step_by(bs.nc) {
         let ncb = bs.nc.min(n - jc);
@@ -246,9 +248,9 @@ fn prepacked_b_matches_per_call_packing_bitwise() {
                     Transpose::Yes => operand(n, k, seed),
                 };
                 let dims = [b.dims()[0], b.dims()[1]];
-                let packed = PackedB::new(b.as_slice(), dims, tb, GEMM_BLOCKING).expect("dims match");
+                let packed = PackedB::new(b.as_slice(), dims, tb).expect("dims match");
                 assert_eq!((packed.k(), packed.n()), (k, n));
-                assert_eq!(packed.len(), tight_len(k, n, GEMM_BLOCKING), "k={k} n={n}");
+                assert_eq!(packed.len(), tight_len(k, n), "k={k} n={n}");
                 for m in 1..=5 {
                     let a = operand(m, k, seed + 1);
                     let c0 = operand(m, n, seed + 2);
@@ -285,7 +287,7 @@ fn prepacked_b_matches_threaded_schedules_bitwise() {
     let (m, k, n) = (13usize, 32usize, 20_000usize);
     let items = operand(n, k, 41);
     let packed =
-        PackedB::new(items.as_slice(), [n, k], Transpose::Yes, GEMM_BLOCKING).expect("dims match");
+        PackedB::new(items.as_slice(), [n, k], Transpose::Yes).expect("dims match");
     for ta in [Transpose::No, Transpose::Yes] {
         let a = match ta {
             Transpose::No => operand(m, k, 42),
@@ -322,7 +324,7 @@ fn prepacked_b_matches_threaded_schedules_bitwise() {
 fn packed_b_reads_back_and_rejects_bad_shapes() {
     let b = operand(300, 270, 51);
     for tb in [Transpose::No, Transpose::Yes] {
-        let packed = PackedB::new(b.as_slice(), [300, 270], tb, GEMM_BLOCKING).expect("dims match");
+        let packed = PackedB::new(b.as_slice(), [300, 270], tb).expect("dims match");
         for (p, j) in [(0usize, 0usize), (1, 16), (255, 255), (256, 17), (263, 259), (269, 269)] {
             let want = match tb {
                 Transpose::No => b.at(&[p, j]),
@@ -331,8 +333,8 @@ fn packed_b_reads_back_and_rejects_bad_shapes() {
             assert_eq!(packed.at(p, j).to_bits(), want.to_bits(), "tb={tb:?} ({p}, {j})");
         }
     }
-    assert!(PackedB::new(b.as_slice(), [300, 271], Transpose::No, GEMM_BLOCKING).is_err());
-    let packed = PackedB::new(b.as_slice(), [300, 270], Transpose::No, GEMM_BLOCKING).expect("dims match");
+    assert!(PackedB::new(b.as_slice(), [300, 271], Transpose::No).is_err());
+    let packed = PackedB::new(b.as_slice(), [300, 270], Transpose::No).expect("dims match");
     let mut c = Tensor::zeros(&[2, 270]);
     let short = operand(2, 299, 52);
     assert!(gemm_packed(1.0, &short, Transpose::No, &packed, 0.0, &mut c, &mut GemmScratch::new()).is_err());
@@ -347,7 +349,7 @@ fn shared_pack_scratch_stays_near_tight_size() {
     let (m, k, n) = (1usize, 32usize, 20_000usize);
     let a = operand(m, k, 61);
     let items = operand(n, k, 62);
-    let tight = tight_len(k, n, GEMM_BLOCKING);
+    let tight = tight_len(k, n);
     for threads in [2usize, 8] {
         let mut scratch = GemmScratch::new();
         let mut c = Tensor::zeros(&[m, n]);
